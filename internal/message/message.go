@@ -53,14 +53,9 @@ type Message struct {
 
 var msgPool = sync.Pool{New: func() any { return new(Message) }}
 
-// wrap binds a pooled (or fresh) Message struct to a buffer view. The
-// GC-immune backstop is tried before msgPool for the same reason as buffers:
-// every GC cycle flushes the sync.Pool and the refill allocations add up.
+// wrap binds a pooled (or fresh) Message struct to a buffer view.
 func wrap(b *buffer, off, n int) *Message {
-	m, ok := msgBackstop.Get()
-	if !ok {
-		m = msgPool.Get().(*Message)
-	}
+	m := msgPool.Get().(*Message)
 	m.buf, m.off, m.n = b, off, n
 	return m
 }
@@ -170,9 +165,7 @@ func (m *Message) Release() {
 	releaseBuffer(b)
 	m.buf = nil
 	m.off, m.n = 0, 0
-	if !msgBackstop.Put(m) {
-		msgPool.Put(m)
-	}
+	msgPool.Put(m)
 }
 
 // releaseBuffer drops one reference, recycling the buffer on the final

@@ -6,8 +6,6 @@ import (
 	"os"
 	"sync"
 	"sync/atomic"
-
-	"adaptive/internal/backstop"
 )
 
 // Size-classed buffer pooling (ADAPTIVE §4.2.1).
@@ -55,33 +53,6 @@ func exactClass(n int) int {
 
 var bufPools [numClasses]sync.Pool
 
-// Backstop free stacks under the sync.Pools (see package backstop): a GC
-// cycle empties every sync.Pool, so the bounded GC-immune stacks absorb the
-// steady-state recycle traffic and only the overflow rides sync.Pool.
-
-// backstopBudget bounds the idle memory one class backstop may pin.
-const backstopBudget = 2 << 20
-
-var (
-	bufBackstops  [numClasses]backstop.Stack[*buffer]
-	slabBackstops [numClasses]backstop.Stack[[]byte]
-	msgBackstop   backstop.Stack[*Message]
-)
-
-func init() {
-	for ci := 0; ci < numClasses; ci++ {
-		per := backstopBudget / classSize(ci) / backstop.Shards
-		if per < 8 {
-			per = 8
-		}
-		bufBackstops[ci].PerShard = per
-		slabBackstops[ci].PerShard = per
-	}
-	// Message structs are ~48 B; 2048 per shard pins well under 1 MiB while
-	// covering the whole in-flight view population of a large soak.
-	msgBackstop.PerShard = 2048
-}
-
 // poisonByte fills released pooled buffers in poison mode.
 const poisonByte = 0xDB
 
@@ -112,16 +83,13 @@ func getBuffer(total int) *buffer {
 		b.refs.Store(1)
 		return b
 	}
-	b, ok := bufBackstops[ci].Get()
-	if !ok {
-		v := bufPools[ci].Get()
-		if v == nil {
-			b = &buffer{data: make([]byte, classSize(ci)), class: int8(ci)}
-			b.refs.Store(1)
-			return b
-		}
-		b = v.(*buffer)
+	v := bufPools[ci].Get()
+	if v == nil {
+		b := &buffer{data: make([]byte, classSize(ci)), class: int8(ci)}
+		b.refs.Store(1)
+		return b
 	}
+	b := v.(*buffer)
 	if b.poisoned {
 		checkPoison(b)
 		b.poisoned = false
@@ -142,9 +110,7 @@ func recycle(b *buffer) {
 		}
 		b.poisoned = true
 	}
-	if !bufBackstops[int(b.class)].Put(b) {
-		bufPools[int(b.class)].Put(b)
-	}
+	bufPools[int(b.class)].Put(b)
 }
 
 // checkPoison verifies a buffer coming out of a pool still carries the poison
@@ -195,9 +161,6 @@ func GetSlab(n int) []byte {
 	if ci < 0 {
 		return make([]byte, n)
 	}
-	if s, ok := slabBackstops[ci].Get(); ok {
-		return s[:n]
-	}
 	v := slabPools[ci].Get()
 	if v == nil {
 		return make([]byte, n, classSize(ci))
@@ -215,9 +178,6 @@ func GetSlab(n int) []byte {
 func PutSlab(s []byte) {
 	ci := exactClass(cap(s))
 	if ci < 0 {
-		return
-	}
-	if slabBackstops[ci].Put(s[:cap(s)]) {
 		return
 	}
 	box := boxPool.Get().(*slabBox)

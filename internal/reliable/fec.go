@@ -1,6 +1,7 @@
 package reliable
 
 import (
+	"crypto/subtle"
 	"encoding/binary"
 	"time"
 
@@ -41,6 +42,7 @@ type FEC struct {
 	// hot path).
 	groups     map[uint32]*fecGroup
 	freeGroups []*fecGroup
+	recBlock   []byte // reused reconstruction block (valid within one tryReconstruct)
 
 	// Gap abandonment (loss-tolerant mode).
 	gapTimer *event.Event
@@ -110,13 +112,10 @@ func xorInto(acc []byte, payload []byte, eom bool) {
 	if eom {
 		word |= 0x8000
 	}
-	var lenb [2]byte
-	binary.BigEndian.PutUint16(lenb[:], word)
-	acc[0] ^= lenb[0]
-	acc[1] ^= lenb[1]
-	for i, b := range payload {
-		acc[2+i] ^= b
-	}
+	acc[0] ^= byte(word >> 8)
+	acc[1] ^= byte(word)
+	body := acc[2 : 2+len(payload)]
+	subtle.XORBytes(body, body, payload)
 }
 
 // OnSendData folds the outgoing PDU into the current parity group, emitting
@@ -235,6 +234,13 @@ func (f *FEC) OnData(e mechanism.Env, p *wire.PDU) {
 		sendCumAck(e)
 		return
 	}
+	if 2+len(p.PayloadBytes()) > blockSize(e) {
+		// Longer than any block the sender could have folded: a malformed
+		// or hostile PDU, dropped before it can open a group.
+		wire.PutPDU(p)
+		e.Metrics().Count("rel.fec_malformed", 1)
+		return
+	}
 	k := uint32(e.Spec().FECGroup)
 	g := f.group(e, p.Seq/k*k)
 	idx := p.Seq % k
@@ -248,11 +254,17 @@ func (f *FEC) OnData(e mechanism.Env, p *wire.PDU) {
 	f.afterArrival(e)
 }
 
-// OnParity records (or applies) a parity block.
+// OnParity records (or applies) a parity block. Parity that cannot carry a
+// length word, exceeds the block size, or covers no or more than FECGroup
+// members is dropped as malformed.
 func (f *FEC) OnParity(e mechanism.Env, p *wire.PDU) {
 	st := e.State()
 	base := p.Seq
 	k := uint32(e.Spec().FECGroup)
+	if n := len(p.PayloadBytes()); n < 2 || n > blockSize(e) || p.Aux < 1 || uint32(p.Aux) > k {
+		e.Metrics().Count("rel.fec_malformed", 1)
+		return
+	}
 	if base+k <= st.RcvNxt && base+uint32(p.Aux) <= st.RcvNxt {
 		return // group fully delivered already
 	}
@@ -298,13 +310,9 @@ func (f *FEC) tryReconstruct(e mechanism.Env, base uint32) {
 		return
 	}
 	seq := base + uint32(missing)
-	block := make([]byte, len(g.parity))
-	copy(block, g.parity)
-	for i := range block {
-		if i < len(g.acc) {
-			block[i] ^= g.acc[i]
-		}
-	}
+	block := append(f.recBlock[:0], g.parity...)
+	f.recBlock = block
+	subtle.XORBytes(block, block, g.acc)
 	word := binary.BigEndian.Uint16(block)
 	eom := word&0x8000 != 0
 	n := int(word &^ 0x8000)

@@ -1,13 +1,18 @@
 package reliable
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
+	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
 
 	"adaptive/internal/mechanism"
 	"adaptive/internal/mechanism/mechtest"
+	"adaptive/internal/message"
 	"adaptive/internal/wire"
 )
 
@@ -218,16 +223,23 @@ func TestFECSegueExportImport(t *testing.T) {
 }
 
 // Property: for any group of payloads with any single loss position, the
-// receiver reconstructs the missing payload exactly.
+// receiver reconstructs the missing payload exactly. Members selected by
+// full are stretched to exactly the MSS, so full-width blocks (the widest
+// XOR span, ending on the block's last byte) are covered as well as short
+// and odd lengths.
 func TestFECReconstructionProperty(t *testing.T) {
-	f := func(data [][]byte, lossIdx uint8) bool {
+	mss := fecSpec(2).MSS
+	f := func(data [][]byte, lossIdx, full uint8) bool {
 		k := len(data)
 		if k < 2 || k > 8 {
 			return true // vacuous outside group-size range
 		}
 		for i := range data {
-			if len(data[i]) > 32 {
-				data[i] = data[i][:32]
+			if full&(1<<i) != 0 {
+				data[i] = append(data[i], bytes.Repeat([]byte{0xA5}, mss)...)
+			}
+			if len(data[i]) > mss {
+				data[i] = data[i][:mss]
 			}
 		}
 		loss := int(lossIdx) % k
@@ -264,5 +276,96 @@ func TestFECReconstructionProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// xorIntoRef is the byte-at-a-time definition xorInto must match.
+func xorIntoRef(acc []byte, payload []byte, eom bool) {
+	word := uint16(len(payload))
+	if eom {
+		word |= 0x8000
+	}
+	var lenb [2]byte
+	binary.BigEndian.PutUint16(lenb[:], word)
+	acc[0] ^= lenb[0]
+	acc[1] ^= lenb[1]
+	for i, b := range payload {
+		acc[2+i] ^= b
+	}
+}
+
+// TestXorIntoMatchesByteLoop checks the vectorized xorInto against the
+// byte-loop reference for every payload length from 0 to the default MSS,
+// with and without the EOM bit, on an accumulator that already holds data.
+func TestXorIntoMatchesByteLoop(t *testing.T) {
+	mss := mechanism.DefaultSpec().MSS
+	rng := rand.New(rand.NewSource(7))
+	acc := make([]byte, 2+mss)
+	payload := make([]byte, mss)
+	for n := 0; n <= mss; n++ {
+		for _, eom := range []bool{false, true} {
+			rng.Read(acc)
+			rng.Read(payload)
+			want := append([]byte(nil), acc...)
+			xorIntoRef(want, payload[:n], eom)
+			xorInto(acc, payload[:n], eom)
+			if !bytes.Equal(acc, want) {
+				t.Fatalf("len %d eom %v: xorInto diverges from the byte loop", n, eom)
+			}
+		}
+	}
+}
+
+// TestFECOversizedDataDropped: a data PDU longer than the MSS cannot have
+// been folded by an honest sender; it is dropped and counted instead of
+// overrunning the 2+MSS group accumulator.
+func TestFECOversizedDataDropped(t *testing.T) {
+	rx := mechtest.New(fecSpec(4))
+	receiver := NewFEC(false)
+	feedData(rx, receiver, 1, strings.Repeat("x", rx.SpecV.MSS+1))
+	if rx.Sink.Counts["rel.fec_malformed"] != 1 {
+		t.Fatalf("fec_malformed = %d, want 1", rx.Sink.Counts["rel.fec_malformed"])
+	}
+	if len(rx.StateV.RcvBuf) != 0 || len(receiver.groups) != 0 {
+		t.Fatal("oversized PDU was buffered or opened a group")
+	}
+	// An MSS-sized payload is still accepted.
+	feedData(rx, receiver, 0, strings.Repeat("y", rx.SpecV.MSS))
+	if got := rx.ReleasedPayloads(); len(got) != 1 || len(got[0]) != rx.SpecV.MSS {
+		t.Fatalf("MSS-sized PDU not delivered: %v", got)
+	}
+}
+
+// TestFECMalformedParityDropped: parity too short to carry its length
+// word, longer than a block, or covering 0 or more than FECGroup members is
+// dropped and counted before it reaches reconstruction.
+func TestFECMalformedParityDropped(t *testing.T) {
+	const k = 4
+	for _, tc := range []struct {
+		name    string
+		aux     uint16
+		payload string
+	}{
+		{"one-byte", 1, "z"},
+		{"empty", 1, ""},
+		{"oversized", 1, strings.Repeat("p", 2+32+1)},
+		{"aux-zero", 0, "\x00\x01q"},
+		{"aux-above-group", k + 1, "\x00\x01q"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rx := mechtest.New(fecSpec(k))
+			receiver := NewFEC(false)
+			p := &wire.PDU{Header: wire.Header{Type: wire.TParity, Seq: 0, Aux: tc.aux}}
+			if tc.payload != "" {
+				p.Payload = message.NewFromBytes([]byte(tc.payload))
+			}
+			receiver.OnParity(rx, p)
+			if rx.Sink.Counts["rel.fec_malformed"] != 1 {
+				t.Fatalf("fec_malformed = %d, want 1", rx.Sink.Counts["rel.fec_malformed"])
+			}
+			if len(receiver.groups) != 0 || len(rx.Released) != 0 || rx.StateV.FECRecovered != 0 {
+				t.Fatal("malformed parity opened a group or produced data")
+			}
+		})
 	}
 }

@@ -10,13 +10,13 @@ import (
 )
 
 // TestBatchedPathAllocs pins the steady-state allocation budget of the full
-// batched live datapath — Send (frame encode into pooled scratch, flush
-// queue, sendmmsg) through the reader (recvmmsg into reused ring, pooled
-// slab copy, one posted closure per batch) to the batch upcall — at under
-// one allocation per packet. The budget lives on pooled slabs (message),
-// the pooled rxBatch carriers (backstop-fronted), pre-bound syscall
-// callbacks, and the RCU host snapshot; a regression on any of them shows
-// up here long before it shows up in BenchmarkE11_Live.
+// batched live datapath — Send (frame encode into the send arena, flush
+// queue, sendmmsg) through the reader (recvmmsg into reused ring, copy into
+// the batch's buffer, one posted closure per batch) to the batch upcall —
+// at under one allocation per packet. The budget lives on the per-endpoint
+// send arena, the pooled rxBatch carriers and their buffers, pre-bound
+// syscall callbacks, and the RCU host snapshot; a regression on any of
+// them shows up here long before it shows up in BenchmarkE11_Live.
 func TestBatchedPathAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation soak")

@@ -21,15 +21,15 @@
 // socket (DESIGN.md §5.18):
 //
 //   - Receive: the reader drains up to BatchSize datagrams per recvmmsg
-//     syscall into a reused ring of frame buffers, copies each payload into
-//     a pooled backstop-fronted slab, and posts ONE closure per batch into
-//     the bounded loop queue — the queue amortizes a closure per batch, not
-//     per packet, and the upcall side delivers the whole batch through the
-//     optional netapi.BatchReceiver in a single call.
-//   - Send: with FlushWindow > 0, frames are encoded into pooled scratch and
-//     enqueued on a per-endpoint flush queue drained by one sendmmsg per
-//     batch — when the queue reaches BatchSize (size flush) or when
-//     FlushWindow elapses (window flush). FlushWindow == 0 keeps the
+//     syscall into a reused ring of frame buffers, copies the payloads into
+//     one pooled batch that owns their buffer, and posts ONE closure per
+//     batch into the bounded loop queue — the queue amortizes a closure per
+//     batch, not per packet, and the upcall side delivers the whole batch
+//     through the optional netapi.BatchReceiver in a single call.
+//   - Send: with FlushWindow > 0, frames are encoded into a per-endpoint
+//     send arena and enqueued on a per-endpoint flush queue drained by one
+//     sendmmsg per batch — when the queue reaches BatchSize (size flush) or
+//     when FlushWindow elapses (window flush). FlushWindow == 0 keeps the
 //     per-packet write path (one syscall per Send), the A/B baseline the
 //     equivalence tests compare against, exactly like netsim's
 //     DeliverPerPacket.
@@ -57,7 +57,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"adaptive/internal/backstop"
 	"adaptive/internal/message"
 	"adaptive/internal/netapi"
 )
@@ -565,10 +564,12 @@ type Endpoint struct {
 	// The send flush queue. sendMu is held across the flush write so
 	// concurrent size- and window-flushes cannot reorder batches. sq
 	// holds individual frames; txq is the per-flush scratch of wire
-	// datagrams after train coalescing.
+	// datagrams after train coalescing. Frames and trains are views into
+	// arena, which every flush empties for reuse.
 	sendMu     sync.Mutex
 	sq         []outMsg
 	txq        []outMsg
+	arena      []byte
 	flushTimer *time.Timer
 	bio        batchIO // platform-specific batch-syscall state (batch_*.go)
 
@@ -649,16 +650,16 @@ func (p *Provider) Open(host netapi.HostID, port uint16) (netapi.Endpoint, error
 
 // rxBatch is one posted receive batch: pooled, with its loop closure bound
 // once at construction so the steady-state packet path allocates nothing.
+// Payloads are copied into buf, which the batch keeps across reuse, so a
+// batch costs one pool round trip however many packets it carries.
 type rxBatch struct {
 	ep   *Endpoint
-	pkts []netapi.Packet // Data fields are pooled slabs
+	pkts []netapi.Packet // Data fields are views into buf
+	buf  []byte
 	run  func()
 }
 
-var (
-	rxBatchBackstop = &backstop.Stack[*rxBatch]{PerShard: 16}
-	rxBatchPool     sync.Pool // New set in init (direct literal would cycle)
-)
+var rxBatchPool sync.Pool // New set in init (direct literal would cycle)
 
 func init() {
 	rxBatchPool.New = func() any {
@@ -669,25 +670,31 @@ func init() {
 }
 
 func getRxBatch() *rxBatch {
-	if b, ok := rxBatchBackstop.Get(); ok {
-		return b
-	}
 	return rxBatchPool.Get().(*rxBatch)
 }
 
 func putRxBatch(b *rxBatch) {
 	b.ep = nil
-	if !rxBatchBackstop.Put(b) {
-		rxBatchPool.Put(b)
-	}
+	rxBatchPool.Put(b)
 }
 
-// release returns every pooled slab and the batch itself.
-func (b *rxBatch) release() {
-	for i := range b.pkts {
-		message.PutSlab(b.pkts[i].Data)
-		b.pkts[i] = netapi.Packet{}
+// carve returns the next n bytes of *arena. When the arena is full it
+// moves to a larger array; views already handed out keep the old one.
+func carve(arena *[]byte, n int) []byte {
+	a := *arena
+	s := len(a)
+	if s+n > cap(a) {
+		a = make([]byte, 0, 2*cap(a)+n)
+		s = 0
 	}
+	a = a[:s+n]
+	*arena = a
+	return a[s : s+n : s+n]
+}
+
+// release recycles the batch with its buffer.
+func (b *rxBatch) release() {
+	clear(b.pkts)
 	b.pkts = b.pkts[:0]
 	putRxBatch(b)
 }
@@ -755,8 +762,8 @@ func wireFrameCount(buf []byte, ln int) int {
 	return 0
 }
 
-// expandTrain copies each record of a train datagram into its own pooled
-// slab and appends it to the batch. Truncated or malformed records abort
+// expandTrain copies each record of a train datagram into the batch's
+// buffer and appends it to the batch. Truncated or malformed records abort
 // the rest of the train (the damage cannot be re-synchronized).
 func expandTrain(b *rxBatch, buf []byte, ln int) {
 	cnt := int(buf[4])<<8 | int(buf[5])
@@ -771,16 +778,17 @@ func expandTrain(b *rxBatch, buf []byte, ln int) {
 		if off+rl > ln {
 			return
 		}
-		pkt := message.GetSlab(rl)
+		pkt := carve(&b.buf, rl)
 		copy(pkt, buf[off:off+rl])
 		off += rl
 		b.pkts = append(b.pkts, netapi.Packet{Data: pkt, From: src})
 	}
 }
 
-// dispatch copies one received batch into pooled slabs — expanding frame
-// trains back into individual packets — and posts a single closure for it,
-// shedding (with counts, and without copying) when nobody can consume it.
+// dispatch copies one received batch into a pooled batch buffer —
+// expanding frame trains back into individual packets — and posts a single
+// closure for it, shedding (with counts, and without copying) when nobody
+// can consume it.
 func (ep *Endpoint) dispatch(rx *rxState, n int) {
 	frames := 0
 	for i := 0; i < n; i++ {
@@ -811,6 +819,7 @@ func (ep *Endpoint) dispatch(rx *rxState, n int) {
 
 	b := getRxBatch()
 	b.ep = ep
+	b.buf = b.buf[:0]
 	for i := 0; i < n; i++ {
 		ln := rx.size(i)
 		buf := rx.slot(i)
@@ -821,7 +830,7 @@ func (ep *Endpoint) dispatch(rx *rxState, n int) {
 		if ln < frameOverhead {
 			continue
 		}
-		pkt := message.GetSlab(ln - frameOverhead)
+		pkt := carve(&b.buf, ln-frameOverhead)
 		copy(pkt, buf[frameOverhead:ln])
 		b.pkts = append(b.pkts, netapi.Packet{Data: pkt, From: parseSrc(buf)})
 	}
@@ -869,19 +878,11 @@ func (ep *Endpoint) sendTo(reg *registry, pkt []byte, dst netapi.Addr) error {
 	if ha == nil {
 		return fmt.Errorf("udpnet: unknown host %v", dst.Host)
 	}
-	// Frame encode into pooled scratch: srcHost | srcPort | payload.
-	frame := message.GetSlab(frameOverhead + len(pkt))
-	frame[0] = byte(ep.host >> 24)
-	frame[1] = byte(ep.host >> 16)
-	frame[2] = byte(ep.host >> 8)
-	frame[3] = byte(ep.host)
-	frame[4] = byte(ep.port >> 8)
-	frame[5] = byte(ep.port)
-	copy(frame[frameOverhead:], pkt)
-
 	if ep.flushWin == 0 || ep.batch <= 1 {
 		// Per-packet path: one write per Send, error straight back, wire
 		// format bitwise identical to the pre-batching provider.
+		frame := message.GetSlab(frameOverhead + len(pkt))
+		ep.encodeFrame(frame, pkt)
 		_, err := ep.sock.WriteToUDPAddrPort(frame, ha.ap)
 		message.PutSlab(frame)
 		if err == nil {
@@ -891,19 +892,35 @@ func (ep *Endpoint) sendTo(reg *registry, pkt []byte, dst netapi.Addr) error {
 		}
 		return err
 	}
-	return ep.enqueue(frame, ha, dst.Host)
+	return ep.enqueue(pkt, ha, dst.Host)
 }
 
-// enqueue adds a framed datagram to the flush queue, flushing when it
-// reaches the batch size and arming the window timer when it goes
-// non-empty.
-func (ep *Endpoint) enqueue(frame []byte, dst *hostAddr, dstHost netapi.HostID) error {
+// encodeFrame writes the frame srcHost | srcPort | pkt into frame, which
+// holds exactly frameOverhead+len(pkt) bytes.
+func (ep *Endpoint) encodeFrame(frame, pkt []byte) {
+	frame[0] = byte(ep.host >> 24)
+	frame[1] = byte(ep.host >> 16)
+	frame[2] = byte(ep.host >> 8)
+	frame[3] = byte(ep.host)
+	frame[4] = byte(ep.port >> 8)
+	frame[5] = byte(ep.port)
+	copy(frame[frameOverhead:], pkt)
+}
+
+// maxArena bounds the send arena an endpoint keeps between flushes.
+const maxArena = 1 << 20
+
+// enqueue frames pkt into the send arena and adds it to the flush queue,
+// flushing when the queue reaches the batch size and arming the window
+// timer when it goes non-empty.
+func (ep *Endpoint) enqueue(pkt []byte, dst *hostAddr, dstHost netapi.HostID) error {
 	ep.sendMu.Lock()
 	defer ep.sendMu.Unlock()
 	if ep.closed.Load() {
-		message.PutSlab(frame)
 		return errors.New("udpnet: endpoint closed")
 	}
+	frame := carve(&ep.arena, frameOverhead+len(pkt))
+	ep.encodeFrame(frame, pkt)
 	ep.sq = append(ep.sq, outMsg{frame: frame, dst: dst, dstHost: dstHost, frames: 1})
 	if len(ep.sq) >= ep.batch {
 		ep.p.flushesSize.Add(1)
@@ -967,16 +984,15 @@ func (ep *Endpoint) packTrains() {
 	ep.sq = sq[:0]
 }
 
-// buildTrain packs a same-destination run into one train datagram and
-// recycles the constituent frame slabs. The shared 6-byte source header is
-// taken from the first frame (all frames from this endpoint carry the same
-// one).
+// buildTrain packs a same-destination run into one train datagram in the
+// send arena. The shared 6-byte source header is taken from the first
+// frame (all frames from this endpoint carry the same one).
 func (ep *Endpoint) buildTrain(run []outMsg) outMsg {
 	total := trainHdr
 	for k := range run {
 		total += trainRecHdr + len(run[k].frame) - frameOverhead
 	}
-	t := message.GetSlab(total)
+	t := carve(&ep.arena, total)
 	t[0], t[1], t[2], t[3] = trainMarker, trainMarker, trainMarker, trainMarker
 	n := len(run)
 	t[4], t[5] = byte(n>>8), byte(n)
@@ -989,14 +1005,14 @@ func (ep *Endpoint) buildTrain(run []outMsg) outMsg {
 		off += trainRecHdr
 		copy(t[off:], pl)
 		off += len(pl)
-		message.PutSlab(run[k].frame)
 	}
 	return outMsg{frame: t, dst: run[0].dst, frames: n}
 }
 
 // flushLocked coalesces the queued frames into wire datagrams, writes them
-// with one batch syscall, and recycles the slabs. Called with sendMu held —
-// the lock spans the write so batches leave the socket in enqueue order.
+// with one batch syscall, and empties the send arena. Called with sendMu
+// held — the lock spans the write so batches leave the socket in enqueue
+// order.
 func (ep *Endpoint) flushLocked() error {
 	if len(ep.sq) == 0 {
 		return nil
@@ -1023,11 +1039,12 @@ func (ep *Endpoint) flushLocked() error {
 	ep.sent.Add(frames)
 	ep.p.framesOut.Add(frames)
 	ep.p.datagramsOut.Add(uint64(wrote))
-	for i := range ep.txq {
-		message.PutSlab(ep.txq[i].frame)
-		ep.txq[i] = outMsg{}
-	}
+	clear(ep.txq)
 	ep.txq = ep.txq[:0]
+	ep.arena = ep.arena[:0]
+	if cap(ep.arena) > maxArena {
+		ep.arena = nil // one burst of jumbo frames must not pin memory for good
+	}
 	return err
 }
 

@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"sync"
 
-	"adaptive/internal/backstop"
 	"adaptive/internal/message"
 )
 
@@ -179,21 +178,12 @@ func (p *PDU) ReleasePayload() {
 
 var pduPool = sync.Pool{New: func() any { return new(PDU) }}
 
-// pduBackstop is a bounded GC-immune free stack in front of pduPool: sync.Pool
-// is flushed every GC cycle, and at soak scale the post-GC refills of the PDU
-// working set show up in the allocation profile. ~48 B per PDU struct, so the
-// full backstop pins under 1 MiB.
-var pduBackstop = backstop.Stack[*PDU]{PerShard: 2048}
-
 // GetPDU returns a zeroed PDU from the pool. Pair with PutPDU at the point
 // the PDU's lifecycle provably ends (receive-path terminal, acked
 // retransmission-buffer entry); a PDU whose ownership is ambiguous may simply
 // be dropped to the garbage collector instead — losing one to GC is always
 // safe, double-recycling never is.
 func GetPDU() *PDU {
-	if p, ok := pduBackstop.Get(); ok {
-		return p
-	}
 	return pduPool.Get().(*PDU)
 }
 
@@ -202,9 +192,6 @@ func GetPDU() *PDU {
 func PutPDU(p *PDU) {
 	p.ReleasePayload()
 	p.Header = Header{}
-	if pduBackstop.Put(p) {
-		return
-	}
 	pduPool.Put(p)
 }
 
