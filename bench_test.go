@@ -352,6 +352,28 @@ func BenchmarkChecksums(b *testing.B) {
 	}
 }
 
+// BenchmarkInternetChecksumSizes encodes internet16-protected PDUs whose
+// checksummed body (header plus payload) is 24 B (a header-only ack), 64 B
+// (a small OLTP or voice PDU) and 1496 B (a full segment), so the
+// checksum's tail path is measured as well as its wide-word loop.
+func BenchmarkInternetChecksumSizes(b *testing.B) {
+	for _, n := range []int{wire.HeaderLen, 64, 1496} {
+		b.Run(fmt.Sprintf("%dB", n), func(b *testing.B) {
+			p := &wire.PDU{Header: wire.Header{Type: wire.TData, Seq: 1}}
+			if plen := n - wire.HeaderLen; plen > 0 {
+				p.Payload = message.AllocPooled(plen, message.DefaultHeadroom)
+			}
+			b.SetBytes(int64(n))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := wire.EncodeTo(p, wire.CkInternet, func([]byte) error { return nil }); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 func BenchmarkMessagePushPop(b *testing.B) {
 	m := message.Alloc(1400, 64)
 	b.ReportAllocs()

@@ -291,7 +291,8 @@ func EncodeSpec(s *Spec) []byte {
 	return w.Bytes()
 }
 
-// DecodeSpec parses a TLV-encoded Spec, tolerating unknown tags.
+// DecodeSpec parses a TLV-encoded Spec, tolerating unknown tags. It rejects
+// a checksum kind the header cannot carry.
 func DecodeSpec(b []byte) (*Spec, error) {
 	s := &Spec{}
 	r := wire.NewTLVReader(b)
@@ -313,7 +314,12 @@ func DecodeSpec(b []byte) (*Spec, error) {
 		case tagOrder:
 			s.Order = OrderKind(wire.U8(val))
 		case tagChecksum:
+			// The kind travels in two header flag bits; a larger value
+			// would go on the wire as a different kind.
 			s.Checksum = wire.ChecksumKind(wire.U8(val))
+			if s.Checksum > wire.CkCRC32 {
+				return nil, fmt.Errorf("mechanism: unknown checksum kind %d", s.Checksum)
+			}
 		case tagWindowSize:
 			s.WindowSize = int(wire.U32(val))
 		case tagFECGroup:

@@ -116,6 +116,20 @@ func TestSpecDecodeSkipsUnknownTags(t *testing.T) {
 	}
 }
 
+// The checksum kind travels in two header flag bits, so DecodeSpec must
+// reject a negotiated kind the header cannot carry (4 would go on the wire
+// as none, 5 as internet16).
+func TestSpecDecodeRejectsUnknownChecksumKind(t *testing.T) {
+	for k := 0; k <= 255; k++ {
+		s := DefaultSpec()
+		s.Checksum = wire.ChecksumKind(k)
+		_, err := DecodeSpec(EncodeSpec(&s))
+		if valid := k <= int(wire.CkCRC32); valid != (err == nil) {
+			t.Fatalf("checksum kind %d: err = %v", k, err)
+		}
+	}
+}
+
 func TestKindStrings(t *testing.T) {
 	for _, tc := range []struct {
 		got, want string

@@ -316,8 +316,12 @@ func DecodeInto(pkt []byte, p *PDU) error {
 	if int(h.PayloadLen) != len(body)-HeaderLen {
 		return ErrBadLength
 	}
+	kind := h.Checksum()
+	if kind > CkCRC32 {
+		return ErrBadChecksum // reserved flag value
+	}
 	want := binary.BigEndian.Uint32(pkt[len(pkt)-TrailerLen:])
-	if got := checksum(h.Checksum(), body); got != want {
+	if got := checksum(kind, body); got != want {
 		return ErrBadChecksum
 	}
 	p.Header = h

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -94,6 +95,13 @@ func TestDecodeErrors(t *testing.T) {
 	if _, err := Decode(pkt); err != ErrBadVersion {
 		t.Fatalf("bad version: %v", err)
 	}
+	// The reserved checksum kind 3 must not be accepted unverified as if it
+	// were CkNone (whose trailer is zero).
+	pkt = Encode(p, CkNone).CopyBytes()
+	pkt[1] |= flagCkMask
+	if _, err := Decode(pkt); err != ErrBadChecksum {
+		t.Fatalf("reserved checksum kind: %v", err)
+	}
 }
 
 func TestPayloadLengthMismatch(t *testing.T) {
@@ -144,6 +152,97 @@ func TestInternetChecksumOddLength(t *testing.T) {
 	if internetChecksum([]byte{0xab}) != ^uint16(0xab00) {
 		t.Fatal("odd-length padding wrong")
 	}
+}
+
+// refInternetChecksum is the RFC 1071 byte-pair loop, one 16-bit word per
+// iteration: the reference internetChecksum must match on every input.
+func refInternetChecksum(b []byte) uint16 {
+	var sum uint32
+	n := len(b)
+	for i := 0; i+1 < n; i += 2 {
+		sum += uint32(b[i])<<8 | uint32(b[i+1])
+	}
+	if n%2 == 1 {
+		sum += uint32(b[n-1]) << 8
+	}
+	for sum>>16 != 0 {
+		sum = sum&0xffff + sum>>16
+	}
+	return ^uint16(sum)
+}
+
+// Differential: the wide-word checksum equals the byte-pair reference for
+// every length 0..3000 at every start offset 0..7 (unaligned slices), on
+// all-zero, all-0xff (every word add carries) and seeded-random bytes.
+func TestInternetChecksumMatchesReference(t *testing.T) {
+	const maxLen, maxOff = 3000, 7
+	rng := rand.New(rand.NewSource(1))
+	random := make([]byte, maxOff+maxLen)
+	rng.Read(random)
+	for _, tc := range []struct {
+		name string
+		buf  []byte
+	}{
+		{"zeros", make([]byte, maxOff+maxLen)},
+		{"ones", bytes.Repeat([]byte{0xff}, maxOff+maxLen)},
+		{"random", random},
+	} {
+		for off := 0; off <= maxOff; off++ {
+			for n := 0; n <= maxLen; n++ {
+				b := tc.buf[off : off+n]
+				if got, want := internetChecksum(b), refInternetChecksum(b); got != want {
+					t.Fatalf("%s off=%d len=%d: internetChecksum %04x, reference %04x",
+						tc.name, off, n, got, want)
+				}
+			}
+		}
+	}
+}
+
+func FuzzInternetChecksum(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0xab})
+	f.Add([]byte{0x00, 0x01, 0xf2, 0x03, 0xf4, 0xf5, 0xf6, 0xf7})
+	f.Add(bytes.Repeat([]byte{0xff}, 37))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		if got, want := internetChecksum(b), refInternetChecksum(b); got != want {
+			t.Fatalf("len=%d: internetChecksum %04x, reference %04x", len(b), got, want)
+		}
+	})
+}
+
+// FuzzDecodeInto throws arbitrary bytes at the PDU decoder. Properties:
+// DecodeInto never panics, and every packet it accepts re-encodes
+// byte-for-byte under the checksum kind its flags carry.
+func FuzzDecodeInto(f *testing.F) {
+	for _, ck := range []ChecksumKind{CkNone, CkInternet, CkCRC32} {
+		for _, p := range []*PDU{
+			{Header: Header{Type: TAck, Ack: 9, Window: 16}},
+			{Header: Header{Type: TData, Flags: FlagEOM, ConnID: 7, Seq: 42, Aux: 3},
+				Payload: message.NewFromBytes([]byte("hello adaptive"))},
+		} {
+			pkt := Encode(p, ck)
+			f.Add(pkt.CopyBytes())
+			pkt.Release()
+		}
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		var p PDU
+		if err := DecodeInto(raw, &p); err != nil {
+			return
+		}
+		defer p.ReleasePayload()
+		var re []byte
+		if err := EncodeTo(&p, p.Checksum(), func(pkt []byte) error {
+			re = append(re, pkt...)
+			return nil
+		}); err != nil {
+			t.Fatalf("re-encode: %v", err)
+		}
+		if !bytes.Equal(re, raw) {
+			t.Fatalf("re-encode differs:\n got %x\nwant %x", re, raw)
+		}
+	})
 }
 
 // Property: encode/decode round-trips arbitrary headers and payloads.
