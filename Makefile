@@ -8,11 +8,15 @@ build:
 test:
 	$(GO) test ./...
 
-# verify is the tier-1 gate: build, vet, tests, and the race detector.
-# staticcheck runs when installed (no network fetch in the gate); any
-# finding fails the build.
+# verify is the tier-1 gate: build, formatting, vet, tests, and the race
+# detector. Any file gofmt would rewrite fails the build. staticcheck runs
+# when installed (no network fetch in the gate); any finding fails the
+# build.
 verify:
 	$(GO) build ./...
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
+		echo "gofmt -l lists unformatted files:"; echo "$$out"; exit 1; \
+	fi
 	$(GO) vet ./...
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		echo "staticcheck ./..."; staticcheck ./...; \

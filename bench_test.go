@@ -443,6 +443,31 @@ func BenchmarkKernelChurn(b *testing.B) {
 	}
 }
 
+func BenchmarkKernelRearmFar(b *testing.B) {
+	// The live provider's timer pattern: 1000 RTO-like timers re-armed
+	// round-robin about 200 ms ahead of a clock that creeps forward 1 µs per
+	// op, so none ever fires and the wheel's reference instant never moves.
+	// Stop must recycle each cancelled event at once: ns/op stays flat in
+	// b.N, and no op allocates.
+	k := sim.NewKernel(1)
+	fn := func(any) {}
+	timers := make([]sim.Timer, 1000)
+	for i := range timers {
+		timers[i] = k.ScheduleArg(200*time.Millisecond+time.Duration(i)*time.Microsecond, fn, nil)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		j := i % len(timers)
+		timers[j].Stop()
+		timers[j] = k.ScheduleArgAt(k.Now()+200*time.Millisecond, fn, nil)
+		k.RunFor(time.Microsecond)
+	}
+	if k.Executed() != 0 {
+		b.Fatalf("%d re-armed timers fired", k.Executed())
+	}
+}
+
 func BenchmarkEndToEndThroughput(b *testing.B) {
 	// Simulated bulk transfer through the full stack: how many simulated
 	// PDUs per wall second the library processes.

@@ -25,7 +25,8 @@ type Stats struct {
 // Manager creates events against a clock.
 type Manager struct {
 	clock netapi.Clock
-	k     *sim.Kernel // non-nil when clock is kernel-backed: arming skips Timer boxing
+	k     *sim.Kernel // non-nil when timers arm on a kernel: no Timer boxing
+	wall  bool        // k is a wall-clock wheel: arm at clock.Now()+d
 	stats Stats
 	blk   []Event // block allocator: Events are created in batches of eventBlock
 }
@@ -39,11 +40,16 @@ const eventBlock = 16
 // NewManager returns a Manager driving timers from clock. A clock backed by a
 // simulation kernel (netsim.Clock) is detected here once, so every arm/re-arm
 // can schedule directly on the kernel: no per-arm closure and no boxing of the
-// value-type sim.Timer into the netapi.Timer interface.
+// value-type sim.Timer into the netapi.Timer interface. A wall clock that
+// owns a loop-driven timer wheel (udpnet's TimerWheel) is detected the same
+// way; arms on it take absolute deadlines read from the clock, and, like
+// every Event method, must run on the provider's event loop.
 func NewManager(clock netapi.Clock) *Manager {
 	m := &Manager{clock: clock}
 	if kc, ok := clock.(interface{ Kernel() *sim.Kernel }); ok {
 		m.k = kc.Kernel()
+	} else if wc, ok := clock.(interface{ TimerWheel() *sim.Kernel }); ok {
+		m.k, m.wall = wc.TimerWheel(), true
 	}
 	return m
 }
@@ -58,8 +64,8 @@ func (m *Manager) Stats() Stats { return m.stats }
 // event loop (the same discipline as all protocol code).
 type Event struct {
 	mgr      *Manager
-	timer    netapi.Timer // generic-clock path
-	simTimer sim.Timer    // kernel fast path (value type, no boxing)
+	timer    netapi.Timer  // generic-clock path
+	simTimer sim.Timer     // kernel fast path (value type, no boxing)
 	period   time.Duration // 0 for one-shot
 	fn       func()
 	fireFn   func() // e.fire bound once; reused for every (re)arm
@@ -99,7 +105,11 @@ func (m *Manager) schedule(d, period time.Duration, fn func()) *Event {
 func (m *Manager) arm(e *Event, d time.Duration) {
 	m.stats.Scheduled++
 	e.pending = true
-	if m.k != nil {
+	if m.wall {
+		// The deadline is read at arm time, exactly when time.AfterFunc
+		// would have read it, so no timer fires earlier than d from now.
+		e.simTimer = m.k.ScheduleArgAt(m.clock.Now()+d, fireEvent, e)
+	} else if m.k != nil {
 		// Closure-free: the kernel calls fireEvent(e). Boxing *Event into
 		// any is pointer-sized and allocation-free.
 		e.simTimer = m.k.ScheduleArg(d, fireEvent, e)

@@ -11,6 +11,12 @@
 // scheduling allocates nothing. Schedule returns a value-type Timer handle
 // carrying a generation counter, so a handle held past its event's firing
 // (or cancellation) can never act on a recycled Event.
+//
+// The same kernel also serves as the live provider's wall-clock timer
+// wheel: udpnet owns one per provider, arms session timers on it with
+// ScheduleArgAt (absolute deadlines on the provider clock), and drives it
+// from its event loop with RunUntil(now), using NextAt to set the one
+// runtime timer that wakes the loop.
 package sim
 
 import (
@@ -30,8 +36,10 @@ type Event struct {
 	afn      func(any) // closure-free variant (ScheduleArg)
 	arg      any
 	next     *Event // intrusive link: wheel slot list or kernel free list
+	prev     *Event // back-link within a wheel slot list (O(1) unlink)
 	gen      uint32 // bumped on every recycle; validates Timer handles
 	canceled bool
+	lvl      uint8 // wheel level holding the event, or offWheel
 }
 
 // Timer is a cancellable handle to a scheduled event. It is a small value
@@ -47,21 +55,30 @@ type Timer struct {
 func (t Timer) live() bool { return t.ev != nil && t.ev.gen == t.gen && !t.ev.canceled }
 
 // Stop cancels the event; it reports whether the event was still pending.
-// Stopping a fired or already-stopped timer is a no-op. Cancellation is lazy —
-// the event object is reaped when the kernel next touches it — but the
-// kernel's live-event count is adjusted here, so Pending() never counts
+// Stopping a fired or already-stopped timer is a no-op. An event on the
+// wheel is unlinked from its slot and recycled at once, so re-arming a
+// timer over and over leaves nothing behind for the wheel to walk. Only an
+// event already in the current due batch or in the overflow heap is
+// cancelled lazily (reaped when the kernel next touches it); the kernel's
+// live-event count is adjusted here either way, so Pending() never counts
 // stopped events.
 func (t Timer) Stop() bool {
 	if !t.live() {
 		return false
 	}
-	t.ev.canceled = true
-	t.k.stopped++
-	if t.k.tracer != nil {
+	k, ev := t.k, t.ev
+	if k.tracer != nil {
 		// Keyed: timer stops are per-packet-rate (delayed-ack cancels), so
 		// sampled recordings thin them like fires instead of keeping all.
-		t.k.tracer.EmitKeyed(t.ev.seq, t.k.now, trace.KTimerStop, 0, t.ev.seq, 0, 0)
+		k.tracer.EmitKeyed(ev.seq, k.now, trace.KTimerStop, 0, ev.seq, 0, 0)
 	}
+	if ev.lvl != offWheel {
+		k.wh.unlink(ev)
+		k.reap(ev)
+		return true
+	}
+	ev.canceled = true
+	k.stopped++
 	return true
 }
 
@@ -197,6 +214,14 @@ func (k *Kernel) ScheduleAt(t time.Duration, fn func()) Timer {
 	return k.Schedule(t-k.now, fn)
 }
 
+// ScheduleArgAt runs fn(arg) at absolute time t (clamped to now): the
+// closure-free arm for callers that keep their own clock on the kernel's
+// time base, such as a wall-clock provider driving the kernel with
+// RunUntil.
+func (k *Kernel) ScheduleArgAt(t time.Duration, fn func(any), arg any) Timer {
+	return k.ScheduleArg(t-k.now, fn, arg)
+}
+
 // nextLive returns the earliest live event, extracting the next due batch
 // from the wheel as needed, or nil when nothing remains. The returned event
 // is left at k.due[k.dueIdx].
@@ -215,8 +240,8 @@ func (k *Kernel) nextLive() *Event {
 		tmin, ok := k.wh.minLive()
 		if !ok {
 			if k.queued > 0 {
-				// Only canceled events remain; drop them all.
-				k.wh.purgeInto(k)
+				// Only canceled overflow events remain; drop them all.
+				k.wh.purgeOverflow(k)
 			}
 			return nil
 		}
@@ -224,10 +249,11 @@ func (k *Kernel) nextLive() *Event {
 	}
 }
 
-// peekAt returns the timestamp of the earliest live event without extracting
-// from the wheel (extraction advances the wheel's reference instant, which
-// must not happen for events the caller may decline to run).
-func (k *Kernel) peekAt() (time.Duration, bool) {
+// NextAt returns the timestamp of the earliest live event, or false when
+// none is pending. It does not extract from the wheel (extraction advances
+// the wheel's reference instant, which must not happen for events the
+// caller may decline to run).
+func (k *Kernel) NextAt() (time.Duration, bool) {
 	for k.dueIdx < len(k.due) {
 		ev := k.due[k.dueIdx]
 		if !ev.canceled {
@@ -280,7 +306,7 @@ func (k *Kernel) Run() {
 // t (if it is in the future). Events scheduled beyond t remain pending.
 func (k *Kernel) RunUntil(t time.Duration) {
 	for {
-		at, ok := k.peekAt()
+		at, ok := k.NextAt()
 		if !ok || at > t {
 			break
 		}
@@ -295,5 +321,6 @@ func (k *Kernel) RunUntil(t time.Duration) {
 func (k *Kernel) RunFor(d time.Duration) { k.RunUntil(k.now + d) }
 
 // Pending returns the number of live events still queued. Stopped timers are
-// excluded immediately, even though their event objects are reaped lazily.
+// excluded immediately, including the few whose event objects are reaped
+// lazily (due batch, overflow heap).
 func (k *Kernel) Pending() int { return k.queued - k.stopped }

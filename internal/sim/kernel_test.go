@@ -435,3 +435,176 @@ func TestEventPoolingReusesObjects(t *testing.T) {
 	}
 	k.Run()
 }
+
+// population counts every event object the kernel still holds for a
+// future firing, live or cancelled: wheel slots, overflow heap and the
+// unconsumed due batch.
+func population(k *Kernel) int {
+	n := len(k.wh.overflow) + len(k.due) - k.dueIdx
+	for lvl := range k.wh.slots {
+		for _, e := range k.wh.slots[lvl] {
+			for ; e != nil; e = e.next {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+func TestRearmFarTimerKeepsOneEvent(t *testing.T) {
+	// A wall-clock kernel re-arms its retransmission timer on every ack,
+	// far ahead of a clock that creeps forward by microseconds and never
+	// reaches a deadline, so the wheel's reference instant never moves.
+	// Each re-arm must recycle the cancelled event, not leave it behind.
+	k := NewKernel(1)
+	fired := 0
+	fn := func(any) { fired++ }
+	tm := k.ScheduleArgAt(200*time.Millisecond, fn, nil)
+	for i := 1; i <= 100_000; i++ {
+		k.RunFor(time.Microsecond)
+		if !tm.Stop() {
+			t.Fatalf("re-arm %d: Stop on a pending timer returned false", i)
+		}
+		tm = k.ScheduleArgAt(k.Now()+200*time.Millisecond, fn, nil)
+		if p := population(k); p != 1 {
+			t.Fatalf("re-arm %d: wheel holds %d events, want 1", i, p)
+		}
+		if k.Pending() != 1 {
+			t.Fatalf("re-arm %d: Pending = %d, want 1", i, k.Pending())
+		}
+	}
+	if k.Executed() != 0 || fired != 0 {
+		t.Fatalf("a re-armed timer fired: executed %d, fired %d", k.Executed(), fired)
+	}
+	at, ok := k.NextAt()
+	if want := 100*time.Millisecond + 200*time.Millisecond; !ok || at != want {
+		t.Fatalf("NextAt = %v, %v; want %v", at, ok, want)
+	}
+	k.Run()
+	if fired != 1 || k.Executed() != 1 || k.Now() != at || k.Pending() != 0 {
+		t.Fatalf("fired %d, executed %d, now %v, pending %d; want 1, 1, %v, 0",
+			fired, k.Executed(), k.Now(), k.Pending(), at)
+	}
+}
+
+func TestStaleHandleAfterEagerRecycle(t *testing.T) {
+	// Stop recycles a wheel event at once, so the very next Schedule reuses
+	// the same object. The old handle must not reach its successor.
+	k := NewKernel(1)
+	var got []int
+	old := k.Schedule(200*time.Millisecond, func() { got = append(got, 1) })
+	old.Stop()
+	cur := k.Schedule(300*time.Millisecond, func() { got = append(got, 2) })
+	if cur.ev != old.ev {
+		t.Fatal("Schedule did not reuse the event Stop recycled")
+	}
+	if old.Stop() || old.Pending() {
+		t.Fatal("stale handle acted on the recycled event")
+	}
+	if _, ok := old.At(); ok {
+		t.Fatal("stale handle reports a deadline")
+	}
+	if !cur.Pending() || k.Pending() != 1 {
+		t.Fatalf("successor pending %v, kernel pending %d", cur.Pending(), k.Pending())
+	}
+	k.Run()
+	if len(got) != 1 || got[0] != 2 || k.Now() != 300*time.Millisecond {
+		t.Fatalf("fired %v at %v, want [2] at 300ms", got, k.Now())
+	}
+}
+
+func TestStopInDueBatchIsLazy(t *testing.T) {
+	// Same-instant events sit in the due batch once extraction starts;
+	// stopping one from an earlier sibling's callback cancels it there.
+	k := NewKernel(1)
+	var got []int
+	var b Timer
+	k.Schedule(time.Millisecond, func() { got = append(got, 1); b.Stop() })
+	b = k.Schedule(time.Millisecond, func() { got = append(got, 2) })
+	k.Schedule(time.Millisecond, func() { got = append(got, 3) })
+	k.Run()
+	if len(got) != 2 || got[0] != 1 || got[1] != 3 {
+		t.Fatalf("fired %v, want [1 3]", got)
+	}
+	if k.Pending() != 0 || population(k) != 0 {
+		t.Fatalf("pending %d, population %d after drain", k.Pending(), population(k))
+	}
+}
+
+func TestKernelMatchesReferenceModel(t *testing.T) {
+	// Random schedule / stop / advance traffic against a brute-force
+	// model: events fire in (at, seq) order, Pending counts live events,
+	// and NextAt is the earliest live deadline.
+	type ref struct {
+		at   time.Duration
+		id   int
+		tm   Timer
+		live bool
+	}
+	k := NewKernel(7)
+	rng := k.Rand()
+	var model []*ref
+	var fired []int
+	fire := func(v any) { fired = append(fired, v.(*ref).id) }
+	delays := []time.Duration{0, 1, 63, 4096, time.Microsecond, 700 * time.Microsecond,
+		time.Millisecond, 200 * time.Millisecond, 3 * time.Second, 100 * time.Hour}
+	for step := 0; step < 20_000; step++ {
+		switch op := rng.Intn(10); {
+		case op < 5:
+			r := &ref{id: step, live: true}
+			r.at = k.Now() + delays[rng.Intn(len(delays))] + time.Duration(rng.Intn(1000))
+			r.tm = k.ScheduleArgAt(r.at, fire, r)
+			model = append(model, r)
+		case op < 8 && len(model) > 0:
+			r := model[rng.Intn(len(model))]
+			if got := r.tm.Stop(); got != r.live {
+				t.Fatalf("step %d: Stop = %v, model live %v", step, got, r.live)
+			}
+			r.live = false
+		default:
+			until := k.Now() + time.Duration(rng.Int63n(int64(5*time.Millisecond)))
+			var want []int
+			for {
+				var next *ref
+				for _, r := range model {
+					if r.live && r.at <= until && (next == nil || r.at < next.at) {
+						next = r // model is in schedule order: first wins ties
+					}
+				}
+				if next == nil {
+					break
+				}
+				next.live = false
+				want = append(want, next.id)
+			}
+			fired = fired[:0]
+			k.RunUntil(until)
+			if len(fired) != len(want) {
+				t.Fatalf("step %d: fired %v, want %v", step, fired, want)
+			}
+			for i := range want {
+				if fired[i] != want[i] {
+					t.Fatalf("step %d: fired %v, want %v", step, fired, want)
+				}
+			}
+		}
+		live, first := 0, time.Duration(-1)
+		kept := model[:0]
+		for _, r := range model {
+			if r.live {
+				live++
+				if first < 0 || r.at < first {
+					first = r.at
+				}
+				kept = append(kept, r)
+			}
+		}
+		model = kept
+		if k.Pending() != live {
+			t.Fatalf("step %d: Pending = %d, model %d", step, k.Pending(), live)
+		}
+		if at, ok := k.NextAt(); ok != (live > 0) || (ok && at != first) {
+			t.Fatalf("step %d: NextAt = %v, %v; model %v", step, at, ok, first)
+		}
+	}
+}

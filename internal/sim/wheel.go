@@ -24,6 +24,12 @@ import (
 //     the invariant. Every other slot keeps both its level and index, since
 //     slot indices are absolute bit-fields of the timestamp.
 //
+// Slot lists are doubly linked and every event records its level, so
+// Timer.Stop unlinks a cancelled event in O(1): the wheel holds only live
+// events. That matters when cur lags far behind the events (a wall-clock
+// kernel whose re-armed timers rarely fire): lazily cancelled events would
+// pile up in one high-level slot for minLive to walk on every peek.
+//
 // Events more than 2^48 ns (~78 h) past cur overflow into a small binary
 // heap ordered by (at, seq) and migrate onto the wheel as cur advances.
 const (
@@ -32,6 +38,7 @@ const (
 	slotMask    = wheelSlots - 1
 	wheelLevels = 8
 	wheelSpan   = wheelBits * wheelLevels // bits of ns the wheel covers
+	offWheel    = 0xFF                    // Event.lvl of an event in no slot
 )
 
 type wheel struct {
@@ -53,32 +60,49 @@ func (w *wheel) insert(ev *Event) {
 		lvl = (bits.Len64(d) - 1) / wheelBits
 	}
 	slot := int(uint64(ev.at)>>(lvl*wheelBits)) & slotMask
-	ev.next = w.slots[lvl][slot]
+	head := w.slots[lvl][slot]
+	ev.next, ev.prev, ev.lvl = head, nil, uint8(lvl)
+	if head != nil {
+		head.prev = ev
+	}
 	w.slots[lvl][slot] = ev
 	w.occ[lvl] |= 1 << slot
+}
+
+// unlink removes ev, which must be on the wheel, from its slot list.
+func (w *wheel) unlink(ev *Event) {
+	lvl := int(ev.lvl)
+	if ev.prev != nil {
+		ev.prev.next = ev.next
+	} else {
+		slot := int(uint64(ev.at)>>(lvl*wheelBits)) & slotMask
+		w.slots[lvl][slot] = ev.next
+		if ev.next == nil {
+			w.occ[lvl] &^= 1 << slot
+		}
+	}
+	if ev.next != nil {
+		ev.next.prev = ev.prev
+	}
+	ev.next, ev.prev, ev.lvl = nil, nil, offWheel
 }
 
 // minLive returns the earliest timestamp among non-canceled events. It is
 // read-only: peeking must not advance cur, because callers (RunUntil) may
 // decline to extract and later schedule events earlier than the peeked time.
+// The wheel holds only live events (Stop unlinks), so the first occupied
+// slot of the lowest populated level holds the minimum (invariant 1).
 func (w *wheel) minLive() (time.Duration, bool) {
 	for lvl := 0; lvl < wheelLevels; lvl++ {
-		curSlot := int(uint64(w.cur)>>(lvl*wheelBits)) & slotMask
-		// Slots below cur's own can only hold stale canceled events.
-		m := w.occ[lvl] &^ (1<<curSlot - 1)
-		for m != 0 {
-			s := bits.TrailingZeros64(m)
-			m &= m - 1
-			best := time.Duration(-1)
-			for e := w.slots[lvl][s]; e != nil; e = e.next {
-				if !e.canceled && (best < 0 || e.at < best) {
-					best = e.at
-				}
-			}
-			if best >= 0 {
-				return best, true
-			}
+		if w.occ[lvl] == 0 {
+			continue
 		}
+		e := w.slots[lvl][bits.TrailingZeros64(w.occ[lvl])]
+		best := e.at
+		for e = e.next; e != nil; e = e.next {
+			best = min(best, e.at)
+		}
+		return best, true
 	}
 	best := time.Duration(-1)
 	for _, e := range w.overflow {
@@ -94,7 +118,8 @@ func (w *wheel) minLive() (time.Duration, bool) {
 
 // extract advances cur to tmin (the current live minimum, as returned by
 // minLive), restores placement invariants, and appends every live event due
-// exactly at tmin to k.due. Canceled events touched along the way are reaped.
+// exactly at tmin to k.due. Canceled overflow events touched along the way
+// are reaped.
 func (w *wheel) extract(tmin time.Duration, k *Kernel) {
 	w.cur = tmin
 	// Overflow events now within the wheel span migrate in. The heap is
@@ -125,29 +150,20 @@ func (w *wheel) extract(tmin time.Duration, k *Kernel) {
 		w.occ[lvl] &^= 1 << slot
 		for e != nil {
 			next := e.next
-			e.next = nil
-			if e.canceled {
-				k.reap(e)
-			} else {
-				w.insert(e)
-			}
+			w.insert(e)
 			e = next
 		}
 	}
-	// Drain the due slot. Live events here have at == tmin exactly
-	// (invariant 2); stale canceled leftovers are reaped.
+	// Drain the due slot: its events have at == tmin exactly (invariant 2).
+	// They leave the wheel, so a Stop from here on cancels lazily.
 	slot := int(uint64(tmin)) & slotMask
 	e := w.slots[0][slot]
 	w.slots[0][slot] = nil
 	w.occ[0] &^= 1 << slot
 	for e != nil {
 		next := e.next
-		e.next = nil
-		if e.canceled {
-			k.reap(e)
-		} else {
-			k.due = append(k.due, e)
-		}
+		e.next, e.prev, e.lvl = nil, nil, offWheel
+		k.due = append(k.due, e)
 		e = next
 	}
 	// FIFO among same-instant events: sort the batch by schedule order.
@@ -160,27 +176,13 @@ func (w *wheel) extract(tmin time.Duration, k *Kernel) {
 	}
 }
 
-// purgeInto reaps every remaining event (all necessarily canceled when called
-// after minLive reports none live) and empties the wheel.
-func (w *wheel) purgeInto(k *Kernel) {
-	for lvl := range w.slots {
-		if w.occ[lvl] == 0 {
-			continue
-		}
-		for s := range w.slots[lvl] {
-			for e := w.slots[lvl][s]; e != nil; {
-				next := e.next
-				e.next = nil
-				k.reap(e)
-				e = next
-			}
-			w.slots[lvl][s] = nil
-		}
-		w.occ[lvl] = 0
-	}
+// purgeOverflow reaps every overflow event (all necessarily canceled when
+// called after minLive reports none live; the wheel itself is then empty).
+func (w *wheel) purgeOverflow(k *Kernel) {
 	for _, e := range w.overflow {
 		k.reap(e)
 	}
+	clear(w.overflow)
 	w.overflow = w.overflow[:0]
 }
 
@@ -197,6 +199,7 @@ func (h overflowHeap) less(i, j int) bool {
 }
 
 func (h *overflowHeap) push(ev *Event) {
+	ev.lvl = offWheel
 	*h = append(*h, ev)
 	a := *h
 	i := len(a) - 1

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"adaptive/internal/event"
 	"adaptive/internal/netapi"
 )
 
@@ -114,5 +115,44 @@ func TestPerPacketSendAllocs(t *testing.T) {
 	t.Logf("per-packet send path: %.0f allocs for %d pkts = %.4f allocs/pkt", allocs, pkts, perPkt)
 	if perPkt >= 1.0 {
 		t.Fatalf("allocs/pkt = %.3f, want < 1.0", perPkt)
+	}
+}
+
+// TestSessionTimerAllocs pins session-timer arming on the live provider at
+// zero allocations: Event.Reset and Event.Cancel on a udpnet-backed
+// event.Manager go straight to the provider's loop-owned timer wheel, with
+// no closure, no netapi.Timer box and no runtime timer per arm. The
+// measurement runs on the event loop, where protocol code arms its timers.
+func TestSessionTimerAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation soak")
+	}
+	p := New()
+	defer p.Close()
+	m := event.NewManager(p.Clock())
+	var reset, cancel float64
+	p.Wait(func() {
+		events := make([]*event.Event, 64)
+		for i := range events { // warm the kernel's event free list
+			events[i] = m.Schedule(time.Second, func() {})
+		}
+		i := 0
+		reset = testing.AllocsPerRun(10000, func() {
+			events[i%len(events)].Reset(200*time.Millisecond + time.Duration(i)*time.Microsecond)
+			i++
+		})
+		cancel = testing.AllocsPerRun(10000, func() {
+			e := events[i%len(events)]
+			e.Cancel()
+			e.Reset(200 * time.Millisecond)
+			i++
+		})
+		for _, e := range events {
+			e.Cancel()
+		}
+	})
+	t.Logf("Event.Reset: %.2f allocs/op, Event.Cancel+Reset: %.2f allocs/op", reset, cancel)
+	if reset != 0 || cancel != 0 {
+		t.Fatalf("session timer arms allocate: Reset %.2f, Cancel+Reset %.2f allocs/op, want 0", reset, cancel)
 	}
 }

@@ -3,12 +3,15 @@
 // unmodified ADAPTIVE stack runs over loopback or a real LAN.
 //
 // Concurrency model: all protocol code for one provider runs on a single
-// event loop goroutine. Socket readers and timer expirations post closures
-// into the loop, preserving the no-locking discipline mechanisms are written
-// against. State is split into three classes:
+// event loop goroutine. Socket readers post closures into the loop, and
+// session timers live on a loop-owned timer wheel (a sim.Kernel on the
+// provider clock's time base) that the loop fires before each job,
+// preserving the no-locking discipline mechanisms are written against.
+// State is split into three classes:
 //
-//   - loop-confined: the receive upcall always runs on the loop goroutine,
-//     so protocol state behind it needs no locks.
+//   - loop-confined: the receive upcall and every timer callback run on the
+//     loop goroutine, so protocol state behind them needs no locks; the
+//     timer wheel itself is loop-confined too.
 //   - atomic: lifecycle flags (Provider/Endpoint closed), the receiver
 //     slots, the per-endpoint Sent/Received/Dropped counters, and the
 //     RCU-style host/group registry snapshot the send path reads without
@@ -51,6 +54,7 @@ package udpnet
 import (
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"net/netip"
 	"sync"
@@ -59,6 +63,7 @@ import (
 
 	"adaptive/internal/message"
 	"adaptive/internal/netapi"
+	"adaptive/internal/sim"
 )
 
 // maxPacket bounds received datagram size.
@@ -212,6 +217,14 @@ type Provider struct {
 	readers sync.WaitGroup
 	clock   clock
 
+	// Session timers (loop-confined): a timer wheel on the clock's time
+	// base, fired by run before each loop job, and one runtime timer that
+	// wakes the loop for the earliest deadline. wakeAt is the deadline the
+	// wake timer is armed for, noWake when it is not armed.
+	timers *sim.Kernel
+	wake   *time.Timer
+	wakeAt time.Duration
+
 	// droppedPosts counts loop-queue overflow drops provider-wide (the
 	// per-endpoint Dropped counters attribute the datagrams to a
 	// receiver; this counts shed posts, i.e. whole batches).
@@ -271,7 +284,11 @@ func New(opts ...Option) *Provider {
 		loop:   make(chan func(), cfg.QueueLen),
 		quit:   make(chan struct{}),
 		done:   make(chan struct{}),
+		timers: sim.NewKernel(0),
+		wake:   time.NewTimer(time.Hour),
+		wakeAt: noWake,
 	}
+	p.wake.Stop() // armWake arms it for the first deadline
 	p.reg.Store(emptyRegistry)
 	p.clock = clock{p: p, epoch: time.Now()}
 	go p.run()
@@ -294,24 +311,52 @@ func (p *Provider) publishLocked() {
 	p.reg.Store(r)
 }
 
+// run is the event loop. Due timers fire before each job, so a callback
+// never runs later than the job that follows its deadline; after each job
+// the wake timer is pointed at the earliest deadline if that moved earlier.
 func (p *Provider) run() {
 	for {
 		select {
 		case fn := <-p.loop:
+			p.fireTimers()
 			fn()
+		case <-p.wake.C:
+			p.wakeAt = noWake
+			p.fireTimers()
 		case <-p.quit:
-			// Drain whatever was queued before shutdown, then stop.
+			// Drain whatever was queued before shutdown, then stop. Timers
+			// no longer fire: none may run after Close returns.
 			for {
 				select {
 				case fn := <-p.loop:
 					fn()
 				default:
+					p.wake.Stop()
 					close(p.done)
 					return
 				}
 			}
 		}
+		p.armWake()
 	}
+}
+
+// fireTimers runs every timer whose deadline has passed.
+func (p *Provider) fireTimers() { p.timers.RunUntil(p.clock.Now()) }
+
+// noWake is Provider.wakeAt while the wake timer is not armed.
+const noWake = time.Duration(math.MaxInt64)
+
+// armWake re-arms the wake timer when the earliest deadline is earlier than
+// the one it is armed for. A deadline that moved later, or was cancelled,
+// keeps the armed wake: it fires early, finds nothing due, and re-arms.
+func (p *Provider) armWake() {
+	at, ok := p.timers.NextAt()
+	if !ok || at >= p.wakeAt {
+		return
+	}
+	p.wakeAt = at
+	p.wake.Reset(at - p.clock.Now())
 }
 
 // Post schedules fn onto the provider's event loop (applications use this to
@@ -459,7 +504,8 @@ func (p *Provider) MetricCounters() map[string]func() uint64 {
 // Close shuts the provider down in order: close every endpoint (which
 // flushes its send queue and unblocks its reader), wait for the readers to
 // drain, then stop the event loop and wait for it to finish the queued
-// work. Idempotent.
+// work. The loop stops firing timers and stops its wake timer on the way
+// out, so no upcall or timer callback runs after Close returns. Idempotent.
 func (p *Provider) Close() {
 	if p.closed.Swap(true) {
 		<-p.done
@@ -516,6 +562,9 @@ var _ netapi.Clock = clock{}
 
 func (c clock) Now() time.Duration { return time.Since(c.epoch) }
 
+// AfterFunc is safe from any goroutine (the impair reorder path arms from
+// Send; wrapping clocks arm through it). Session timers on the loop use
+// TimerWheel instead, which allocates nothing per arm.
 func (c clock) AfterFunc(d time.Duration, fn func()) netapi.Timer {
 	t := &timer{}
 	// Timer callbacks are control-plane work: use the blocking Post (a
@@ -523,6 +572,14 @@ func (c clock) AfterFunc(d time.Duration, fn func()) netapi.Timer {
 	t.t = time.AfterFunc(d, func() { c.p.Post(fn) })
 	return t
 }
+
+// TimerWheel returns the provider's loop-owned timer wheel. Arm it only
+// from the event loop, at absolute deadlines on this clock's time base
+// (ScheduleArgAt(Now()+d, ...)); the loop fires them once Now reaches them.
+// The kernel's own Now lags the wall clock (it moves only when the loop runs
+// the wheel), so read time from the clock. event.NewManager detects this
+// accessor.
+func (c clock) TimerWheel() *sim.Kernel { return c.p.timers }
 
 type timer struct{ t *time.Timer }
 

@@ -12,7 +12,7 @@ cd "$(dirname "$0")/.."
 
 COUNT="${COUNT:-3}"
 
-PATTERN='BenchmarkWireEncode$|BenchmarkWireEncodeTo|BenchmarkWireDecode$|BenchmarkWireDecodeInto|BenchmarkChecksums|BenchmarkInternetChecksumSizes|BenchmarkMessagePushPop|BenchmarkMessageSplitClone|BenchmarkNetsimPacketForwarding|BenchmarkSimKernelEvents|BenchmarkKernelChurn|BenchmarkE13_ArbiterGrant'
+PATTERN='BenchmarkWireEncode$|BenchmarkWireEncodeTo|BenchmarkWireDecode$|BenchmarkWireDecodeInto|BenchmarkChecksums|BenchmarkInternetChecksumSizes|BenchmarkMessagePushPop|BenchmarkMessageSplitClone|BenchmarkNetsimPacketForwarding|BenchmarkSimKernelEvents|BenchmarkKernelChurn|BenchmarkKernelRearmFar|BenchmarkE13_ArbiterGrant'
 
 go test -run '^$' -bench "$PATTERN" -benchmem -count="$COUNT" . | tee BENCH_datapath.txt
 
